@@ -46,7 +46,10 @@ class PMASegmentManager:
     def _prefix(self, j: int) -> int:
         return sum(self.counts[:j])
 
-    def apply_volume_change(self, j: int, dv: int) -> None:
+    def apply_volume_change(self, j: int, dv: int) -> tuple[int, int]:
+        """As ``SegmentManager``'s, but reports every class as dirty: PMA
+        rebalances are *not* one-directional, so an update in class j can
+        shift earlier classes too."""
         v = self.volumes[j] + dv
         if v < 0:
             raise ValueError(f"class {j} volume would go negative")
@@ -61,6 +64,7 @@ class PMASegmentManager:
             end_rank -= 1
             self.pma.delete(end_rank)
             self.counts[j] -= 1
+        return (0, self._k)
 
     def extent(self, j: int) -> tuple[int, int]:
         if self.counts[j] == 0:
@@ -112,11 +116,3 @@ class PMABackedScheduler(SingleServerScheduler):
     @property
     def substrate_counter(self):
         return self.segments.pma.counter
-
-    # PMA rebalances are *not* one-directional: an update in class j can
-    # shift earlier classes too, so every class must be checked.
-    def _insert_repair_order(self, j: int):
-        return range(self.num_classes - 1, -1, -1)
-
-    def _delete_repair_order(self, j: int):
-        return range(self.num_classes)

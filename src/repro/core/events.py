@@ -86,6 +86,7 @@ class Ledger:
         self.deletes = 0
         self.total_migrations = 0
         self.reports: Optional[list[OpReport]] = [] if keep_reports else None
+        self.last: Optional[OpReport] = None  # the last committed op
         self._open: Optional[OpReport] = None
         # Optional obs hook (repro.obs.instrument.LedgerObserver); None =
         # uninstrumented, costing one attribute test per request.
@@ -124,6 +125,7 @@ class Ledger:
         for ev in op.events:
             if ev.kind is ReallocKind.MIGRATE:
                 self.migrate_hist[ev.size] = self.migrate_hist.get(ev.size, 0) + 1
+        self.last = op
         if self.reports is not None:
             self.reports.append(op)
         if self.observer is not None:

@@ -47,6 +47,7 @@ class ParallelScheduler:
                 delta=delta,
                 dynamic=dynamic,
                 server=s,
+                ledger=Ledger(keep_reports=False),
             )
             for s in range(p)
         ]
@@ -145,6 +146,7 @@ class ParallelScheduler:
                 delta=first.delta,
                 dynamic=first.dynamic,
                 server=s,
+                ledger=Ledger(keep_reports=False),
             )
         )
         self.p += 1
@@ -211,7 +213,7 @@ class ParallelScheduler:
             if counts[donor] - counts[target] <= 1:
                 return
             donor_sched = self.servers[donor]
-            victim = max(donor_sched.layouts[j], key=lambda pj: pj.start)
+            victim = donor_sched.layouts[j].last()
             vname, vsize = victim.name, victim.size
             donor_sched.delete(vname)
             self._replay_child(donor, migrated=None)
@@ -232,7 +234,7 @@ class ParallelScheduler:
             return
         donor_sched = self.servers[donor]
         # Any class-j job restores balance; take the latest-placed one.
-        victim = max(donor_sched.layouts[j], key=lambda pj: pj.start)
+        victim = donor_sched.layouts[j].last()
         vname, vsize = victim.name, victim.size
         donor_sched.delete(vname)
         self._replay_child(donor, migrated=None)
@@ -247,8 +249,8 @@ class ParallelScheduler:
         as a (migrating) reallocation rather than a fresh allocation;
         its REMOVE on the donor is dropped.
         """
-        child = self.servers[server].ledger
-        report = child.reports[-1]
+        report = self.servers[server].ledger.last
+        assert report is not None  # the child op just committed
         for ev in report.events:
             kind = ev.kind
             if ev.name == migrated and kind is ReallocKind.PLACE:

@@ -80,6 +80,10 @@ class ClassLayout:
         self._jobs.pop(i)
         self.volume -= pj.size
 
+    def last(self) -> PlacedJob:
+        """The job with the largest start (jobs are disjoint and sorted)."""
+        return self._jobs[-1]
+
     def _reindex(self) -> None:
         order = sorted(range(len(self._jobs)), key=lambda i: self._jobs[i].start)
         self._jobs = [self._jobs[i] for i in order]

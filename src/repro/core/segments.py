@@ -56,9 +56,14 @@ class SegmentManager:
         """Allocated space for a class of volume V: floor(V * (1+delta))."""
         return int(volume * (1.0 + self.delta) + 1e-9)
 
-    def apply_volume_change(self, j: int, dv: int) -> None:
+    def apply_volume_change(self, j: int, dv: int) -> tuple[int, int]:
         """Add ``dv`` (may be negative) to class ``j``'s volume and sync the
-        district's element count to the new target."""
+        district's element count to the new target.
+
+        Returns the half-open range of classes whose extent may have
+        moved (the table's ``last_dirty``; empty if the count was
+        already on target).
+        """
         v = self.volumes[j] + dv
         if v < 0:
             raise ValueError(f"class {j} volume would go negative")
@@ -69,6 +74,9 @@ class SegmentManager:
             self.table.extend(j, want - have)
         elif want < have:
             self.table.shrink(j, have - want)
+        else:
+            return (j, j)
+        return self.table.last_dirty
 
     def extent(self, j: int) -> tuple[int, int]:
         return self.table.district_extent(j)

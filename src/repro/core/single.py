@@ -12,7 +12,13 @@ Operation per request (insertion; deletions mirror it):
    k-cursor table to ``floor(V(j)(1+delta))`` elements;
 2. read the (possibly moved) district boundaries -- *no jobs moved yet*;
 3. collect jobs now overlapping lost slots (outside their class's new
-   segment), largest class first;
+   segment), largest class first -- but only in the classes the table
+   reports as dirty: ``[j, end of the subtree of the parent of the
+   highest rebuilt chunk)``.  This is exact, not a heuristic: a rebuild
+   is one-directional and trades space only with its parent (Theorem
+   19), so every other class kept its extent, and the previous op left
+   all of its jobs inside it.  The op after an aborted one has no such
+   postcondition to rely on and checks every class;
 4. re-place each within its own segment (Claim 2's procedure,
    :mod:`repro.core.placement`);
 5. place the new job.
@@ -87,6 +93,9 @@ class SingleServerScheduler:
         ]
         self.ledger = ledger if ledger is not None else Ledger()
         self._jobs: dict[Hashable, PlacedJob] = {}
+        # Set when an op aborts: it may have moved boundaries without
+        # repairing them, so the next repair checks every class.
+        self._repair_all = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -130,15 +139,14 @@ class SingleServerScheduler:
         j = self.classer.class_of(size)
         self.ledger.begin("insert", name, size)
         try:
-            self.segments.apply_volume_change(j, size)
-            # Boundaries of classes >= j may have moved (one-directional
-            # rebalances guarantee classes < j are untouched).
-            self._repair(self._insert_repair_order(j))
+            dirty = self.segments.apply_volume_change(j, size)
+            # Insertions repair from the largest affected class downward.
+            self._repair(dirty, largest_first=True)
             placed = self._place(job, j)
             self.ledger.record(name, size, ReallocKind.PLACE)
             self._jobs[name] = placed
         except BaseException:
-            self.ledger.abort()
+            self._abort()
             raise
         self.ledger.commit()
         return placed
@@ -164,11 +172,11 @@ class SingleServerScheduler:
         try:
             self.layouts[j].remove(placed)
             self.ledger.record(name, placed.size, ReallocKind.REMOVE)
-            self.segments.apply_volume_change(j, -placed.size)
+            dirty = self.segments.apply_volume_change(j, -placed.size)
             # Deletions repair from the smallest affected class upward.
-            self._repair(self._delete_repair_order(j))
+            self._repair(dirty, largest_first=False)
         except BaseException:
-            self.ledger.abort()
+            self._abort()
             raise
         self.ledger.commit()
         return placed.job
@@ -176,18 +184,17 @@ class SingleServerScheduler:
     # ------------------------------------------------------------------
     # Internals
 
-    def _insert_repair_order(self, j: int) -> Iterable[int]:
-        """Classes to repair after inserting into class ``j``, largest
-        first.  The k-cursor's one-directionality means classes < j never
-        move; substrates without that property override this."""
-        return range(self.num_classes - 1, j - 1, -1)
+    def _repair(self, dirty: tuple[int, int], *, largest_first: bool) -> None:
+        """Re-place every job overlapping lost slots of its class.
 
-    def _delete_repair_order(self, j: int) -> Iterable[int]:
-        return range(j, self.num_classes)
-
-    def _repair(self, class_order: Iterable[int]) -> None:
-        """Re-place every job overlapping lost slots of its class."""
-        for jj in class_order:
+        Only the classes in the half-open range ``dirty`` can have moved
+        (see the module docstring, step 3).  The segment manager decides
+        that range: the k-cursor's one-directionality starts it at the
+        updated class, while substrates without that property report
+        every class.
+        """
+        lo, hi = (0, self.num_classes) if self._repair_all else dirty
+        for jj in range(hi - 1, lo - 1, -1) if largest_first else range(lo, hi):
             layout = self.layouts[jj]
             if len(layout) == 0:
                 continue
@@ -197,6 +204,11 @@ class SingleServerScheduler:
                 new_pj = layout.place(pj.job, seg, on_move=self._on_move, server=self.server)
                 self._jobs[pj.name] = new_pj
                 self.ledger.record(pj.name, pj.size, ReallocKind.MOVE)
+        self._repair_all = False
+
+    def _abort(self) -> None:
+        self._repair_all = True
+        self.ledger.abort()
 
     def _place(self, job: Job, j: int) -> PlacedJob:
         seg = self.segments.extent(j)

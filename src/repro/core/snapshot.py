@@ -23,7 +23,7 @@ captured (it restarts at the snapshot point): histograms are what
 from __future__ import annotations
 
 import json
-from typing import Any, cast
+from typing import Any, Optional, cast
 
 from repro.core.events import Ledger
 from repro.core.jobs import Job, PlacedJob
@@ -143,7 +143,9 @@ def _snapshot_single_base(s: SingleServerScheduler) -> Snapshot:
     }
 
 
-def restore_single(snap: Snapshot) -> SingleServerScheduler:
+def restore_single(
+    snap: Snapshot, *, ledger: Optional[Ledger] = None
+) -> SingleServerScheduler:
     if snap.get("format") != FORMAT_VERSION or snap.get("kind") != "single":
         raise ValueError("not a version-1 single-scheduler snapshot")
     s = SingleServerScheduler(
@@ -152,6 +154,7 @@ def restore_single(snap: Snapshot) -> SingleServerScheduler:
         dynamic=snap["dynamic"],
         server=snap["server"],
         padding_enabled=snap["padding_enabled"],
+        ledger=ledger,
     )
     # Grow the class table to the snapshot's width (dynamic schedulers may
     # have grown beyond what max_size implies for fresh construction).
@@ -208,7 +211,10 @@ def restore_parallel(snap: Snapshot) -> ParallelScheduler:
         delta=first["delta"],
         dynamic=first["dynamic"],
     )
-    out.servers = [restore_single(child) for child in snap["servers"]]
+    out.servers = [
+        restore_single(child, ledger=Ledger(keep_reports=False))
+        for child in snap["servers"]
+    ]
     out.classer = out.servers[0].classer
     out._where = {k: v for k, v in snap["where"].items()}
     ledger_state = snap.get("ledger")

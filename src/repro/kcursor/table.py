@@ -102,6 +102,9 @@ class KCursorSparseTable:
         self._n = 0
         self.counter = CostCounter()
         self.last_op: Optional[OpStats] = None
+        # Half-open range of districts whose extent the last update could
+        # have moved (see _dirty_range); the scheduler repairs only these.
+        self.last_dirty: tuple[int, int] = (0, 0)
         self._op: Optional[OpStats] = None
         # Optional obs hook (repro.obs.instrument.KCursorObserver); None =
         # uninstrumented, costing one attribute test per operation.
@@ -175,11 +178,29 @@ class KCursorSparseTable:
         its length (they are empty schedule slack for the scheduler).
         """
         leaf = self._leaf(j)
-        start = self._abs_pos(leaf, 0)
-        if leaf.count == 0:
-            return (start, start)
-        end = self._abs_pos(leaf, leaf.count - 1) + 1
-        return (start, end)
+        # One ancestor walk carrying both slot indices: this is
+        # _abs_pos(leaf, 0) and _abs_pos(leaf, count - 1) side by side,
+        # with Chunk.gaps_before_slot inlined.
+        a = 0
+        b = leaf.count - 1 if leaf.count else 0
+        node = leaf
+        p = node.parent
+        while p is not None:
+            if node.is_right_child:
+                assert p.left is not None  # internal chunks have both children
+                base = p.left.S
+                g = p.gaps
+                if g:
+                    off = p.gap_offset
+                    it = p.it
+                    a += base + (min(g, (a - off) // it + 1) if a >= off else 0)
+                    b += base + (min(g, (b - off) // it + 1) if b >= off else 0)
+                else:
+                    a += base
+                    b += base
+            node = p
+            p = node.parent
+        return (a, b + 1) if leaf.count else (a, a)
 
     def district_extents(self) -> list[tuple[int, int]]:
         return [self.district_extent(j) for j in range(self._k)]
@@ -253,6 +274,7 @@ class KCursorSparseTable:
             self._values[j].append(value)
         self._op = None
         self.last_op = op
+        self.last_dirty = self._dirty_range(j, op)
         self.counter.absorb(op)
         if obs is not None:
             obs.after_op(self, op, 1)
@@ -284,6 +306,7 @@ class KCursorSparseTable:
             self._values[j].extend([None] * m)
         self._op = None
         self.last_op = op
+        self.last_dirty = self._dirty_range(j, op)
         self.counter.absorb(op, units=m)
         if obs is not None:
             obs.after_op(self, op, m)
@@ -310,6 +333,7 @@ class KCursorSparseTable:
         self._maybe_shrink(leaf)
         self._op = None
         self.last_op = op
+        self.last_dirty = self._dirty_range(j, op)
         self.counter.absorb(op, units=m)
         if obs is not None:
             obs.after_op(self, op, m)
@@ -331,10 +355,26 @@ class KCursorSparseTable:
         self._maybe_shrink(leaf)
         self._op = None
         self.last_op = op
+        self.last_dirty = self._dirty_range(j, op)
         self.counter.absorb(op)
         if obs is not None:
             obs.after_op(self, op, 1)
         return value
+
+    def _dirty_range(self, j: int, op: OpStats) -> tuple[int, int]:
+        """Districts whose extent ``op`` on district ``j`` could have moved.
+
+        A cascade climbs ``j``'s own ancestor path, and the parent of its
+        highest rebuilt chunk trades space only between its children: its
+        total ``S`` is unchanged, so nothing outside its subtree moves.
+        One-directionality (Theorem 19) clips the left end at ``j``.  With
+        no rebuild only ``j``'s own end moved; when the root rebuilt, the
+        range runs to ``k``.
+        """
+        if not op.rebuilds:
+            return (j, j + 1)
+        span = 2 << max(r.level for r in op.rebuilds)
+        return (j, min(self._k, (j // span + 1) * span))
 
     # ------------------------------------------------------------------
     # Insertion-direction rebuild (paper Figure 4, REBUILD)
@@ -541,6 +581,8 @@ class KCursorSparseTable:
                 )
             self._grow_tree()
         self._k += 1
+        # Nothing moves: the new district's (empty) extent is the only news.
+        self.last_dirty = (j, j + 1)
         return j
 
     def _grow_tree(self) -> None:

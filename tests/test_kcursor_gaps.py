@@ -113,3 +113,28 @@ def test_gap_positions_materialize_with_spacing():
             if s.level in last_gap_at:
                 assert i - last_gap_at[s.level] >= 2  # at least some spacing
             last_gap_at[s.level] = i
+
+
+def test_district_extent_walk_matches_per_slot_walks():
+    """district_extent resolves both ends in one ancestor walk; it must
+    equal the per-slot walks at every step, including steps where an end
+    lands exactly on a gap offset (the load on the last two districts
+    makes both ends cross gap offsets)."""
+    k = 8
+    t = KCursorSparseTable(k, params=Params.explicit(k, 2))
+    rng = random.Random(2)
+    for step in range(4500):
+        j = k - 1 - rng.randrange(2) if rng.random() < 0.8 else rng.randrange(k)
+        if rng.random() < 0.75 or t.district_len(j) == 0:
+            t.insert(j)
+        else:
+            t.delete(j)
+        for d in range(k):
+            n = t.district_len(d)
+            if n:
+                want = (t.element_position(d, 0), t.element_position(d, n - 1) + 1)
+            else:
+                start = t._abs_pos(t.leaves[d], 0)
+                want = (start, start)
+            assert t.district_extent(d) == want, (step, d)
+    assert t.counter.gaps_created > 0 and t.counter.gaps_consumed > 0

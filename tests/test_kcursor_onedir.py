@@ -2,7 +2,11 @@
 
 import random
 
-from repro.kcursor import KCursorSparseTable, Params
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro.kcursor import KCursorSparseTable, Params, check_invariants
 
 
 def test_ops_never_move_left_districts():
@@ -70,3 +74,94 @@ def test_rebuild_records_one_per_level_max():
             t.delete(j)
         levels = [r.level for r in t.last_op.rebuilds if r.grow]
         assert len(levels) == len(set(levels))
+
+
+# ---------------------------------------------------------------------------
+# last_dirty: the range of districts an op could have moved.  The
+# scheduler repairs only that range, so every district outside it must
+# keep its exact extent.
+
+TABLE_CONFIGS = [
+    (tau_mode, gaps) for tau_mode in ("global", "local") for gaps in (True, False)
+]
+
+
+def _apply_table_op(t, op):
+    """One extend/shrink/insert/delete/append_district; False if skipped."""
+    kind, pick, m = op
+    if kind == "append":
+        if t.k >= t.capacity and t.tau_mode != "local":
+            return False
+        t.append_district()
+        return True
+    j = pick % t.k
+    if kind == "extend":
+        t.extend(j, m)
+    elif kind == "insert":
+        t.insert(j)
+    elif kind == "shrink":
+        m = min(m, t.district_len(j))
+        if m == 0:
+            return False
+        t.shrink(j, m)
+    elif t.district_len(j):
+        t.delete(j)
+    else:
+        return False
+    return True
+
+
+def _assert_clean_outside_dirty(t, before):
+    lo, hi = t.last_dirty
+    assert 0 <= lo <= hi <= t.k
+    for d, ext in enumerate(before):
+        if not lo <= d < hi:
+            assert t.district_extent(d) == ext, (
+                f"district {d} moved outside last_dirty {t.last_dirty}"
+            )
+
+
+_table_op = st.tuples(
+    st.sampled_from(["extend", "extend", "shrink", "shrink", "insert", "delete", "append"]),
+    st.integers(0, 63),
+    st.integers(1, 300),
+)
+
+
+@pytest.mark.parametrize("tau_mode,gaps", TABLE_CONFIGS)
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), ops=st.lists(_table_op, min_size=1, max_size=80))
+def test_last_dirty_covers_every_moved_district(tau_mode, gaps, k, ops):
+    t = KCursorSparseTable(
+        k, params=Params.explicit(k, 2), tau_mode=tau_mode, gaps_enabled=gaps
+    )
+    for op in ops:
+        before = t.district_extents()
+        if _apply_table_op(t, op):
+            _assert_clean_outside_dirty(t, before)
+
+
+@pytest.mark.parametrize("tau_mode,gaps", TABLE_CONFIGS)
+def test_last_dirty_seeded_long_run(tau_mode, gaps):
+    """A longer seeded drive: the property holds while the ranges really
+    are narrower than [j, k), and gaps and root rebuilds both occur."""
+    k = 8
+    t = KCursorSparseTable(
+        k, params=Params.explicit(k, 2), tau_mode=tau_mode, gaps_enabled=gaps
+    )
+    rng = random.Random(31)
+    narrow = 0
+    for _ in range(3000):
+        j = rng.randrange(t.k)
+        # Lopsided extends to the right districts build the gaps.
+        kind = rng.choice(["extend", "extend", "shrink", "insert", "delete"])
+        op = (kind, j, rng.randint(1, 4 if j < t.k // 2 else 60))
+        before = t.district_extents()
+        if _apply_table_op(t, op):
+            _assert_clean_outside_dirty(t, before)
+            narrow += t.last_dirty[1] < t.k
+    check_invariants(t)
+    assert narrow > 1000
+    assert t.counter.rebuilds_by_level.get(t.root.level, 0) > 0
+    if gaps:
+        assert t.counter.gaps_created > 0
