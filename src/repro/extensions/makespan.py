@@ -46,8 +46,12 @@ class MakespanReallocator:
         self.delta = delta
         self.classer = SizeClasser(delta, max_job_size)
         k = self.classer.num_classes
-        # _members[j][s]: names of class-j jobs on server s.
-        self._members: list[list[set]] = [[set() for _ in range(p)] for _ in range(k)]
+        # _members[j][s]: names of class-j jobs on server s, in insertion
+        # order (a dict, not a set: the migration victim must not depend
+        # on PYTHONHASHSEED).
+        self._members: list[list[dict[Hashable, None]]] = [
+            [{} for _ in range(p)] for _ in range(k)
+        ]
         self._jobs: dict[Hashable, PlacedJob] = {}
         self._loads = [0] * p
         self.ledger = Ledger()
@@ -125,13 +129,13 @@ class MakespanReallocator:
     def _attach(self, job: Job, j: int, server: int) -> PlacedJob:
         placed = PlacedJob(job=job, klass=j, start=self._loads[server], server=server)
         self._jobs[job.name] = placed
-        self._members[j][server].add(job.name)
+        self._members[j][server][job.name] = None
         self._loads[server] += job.size
         return placed
 
     def _detach(self, placed: PlacedJob) -> None:
         del self._jobs[placed.name]
-        self._members[placed.klass][placed.server].discard(placed.name)
+        del self._members[placed.klass][placed.server][placed.name]
         self._loads[placed.server] -= placed.size
         # Close the gap in the server's stack: later jobs shift down.
         # (Start positions are bookkeeping only; no reallocation is charged

@@ -613,6 +613,11 @@ class KCursorSparseTable:
             expand(node)
         new_root.S = old_root.S
         self._assign_inv_tau_subtree(new_root)
+        # Rest-state discipline: a chunk with N >= 2/tau^2 is BUFFERED (an
+        # empty buffer satisfies B <= tau*N); the next grow would set the
+        # flag anyway, so this changes no rebuild.
+        it = new_root.it
+        new_root.buffered = new_root.N >= 2 * it * it
         self._root = new_root
         self._leaves.extend(new_leaves)
         if self._values is not None:

@@ -532,8 +532,9 @@ def _scan_session_dir(sdir: str, *, repair: bool, report: FsckReport) -> None:
                 else:
                     fixed.pop("service_dedup", None)
                 tmp = base_path + ".tmp"
+                data = json.dumps(fixed, sort_keys=True)
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(fixed, fh, sort_keys=True)
+                    fh.write(data)
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, base_path)

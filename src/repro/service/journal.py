@@ -107,11 +107,11 @@ def _encode_record(rec: JournalRecord) -> bytes:
     }
     if rec.idem is not None:
         body["i"] = rec.idem
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    body["c"] = zlib.crc32(payload.encode("utf-8"))
-    return (json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
+    payload = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # "c" sorts before every body key, so splicing it in after the brace
+    # yields exactly the sorted encoding of ``body | {"c": crc}`` -- the
+    # bytes replicas store verbatim -- without a second encoder pass.
+    return b'{"c":%d,' % zlib.crc32(payload) + payload[1:] + b"\n"
 
 
 def _decode_record(line: str) -> Optional[JournalRecord]:
@@ -192,6 +192,9 @@ class Journal:
         self._seg_records = 0
         self._since_fsync = 0
         os.makedirs(root, exist_ok=True)
+        #: LSN covered by the newest snapshot: the one on disk at open,
+        #: the one :meth:`recover` loaded, or the last checkpoint's.
+        self._snap_lsn = max((lsn for lsn, _ in self._snapshots()), default=0)
         self._lsn = self._scan_last_lsn()
 
     # -- discovery -------------------------------------------------------
@@ -218,7 +221,7 @@ class Journal:
 
     def _scan_last_lsn(self) -> int:
         """Highest durable LSN: last valid record, else latest snapshot."""
-        last = max((lsn for lsn, _ in self._snapshots()), default=0)
+        last = self._snap_lsn
         for _, path in self._segments():
             for rec, _ in self._read_segment(path):
                 if rec.lsn > last:
@@ -261,6 +264,12 @@ class Journal:
     @property
     def last_lsn(self) -> int:
         return self._lsn
+
+    @property
+    def dirty(self) -> bool:
+        """Whether an op was logged past the newest snapshot -- i.e.
+        whether a checkpoint would write anything the disk lacks."""
+        return self._lsn > self._snap_lsn
 
     def append(self, op: str, name: str, size: int, *, idem: Optional[str] = None) -> int:
         """Durably log one mutating request; returns its LSN.
@@ -420,8 +429,11 @@ class Journal:
             plan = faults.ACTIVE
             if plan is not None:
                 plan.hit("journal.checkpoint.io")
+            # One-shot dumps runs the C encoder; json.dump streams the
+            # same bytes through the pure-Python one, several times slower.
+            data = json.dumps(snapshot_doc, sort_keys=True)
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(snapshot_doc, fh, sort_keys=True)
+                fh.write(data)
                 fh.flush()
                 if ot is not None:
                     t_f = time.perf_counter()
@@ -439,6 +451,7 @@ class Journal:
                 ot.journal_end(error=f"{type(e).__name__}: {e}")
             raise
         _fsync_dir(self.root)
+        self._snap_lsn = lsn
         # Now the tail is redundant: drop covered segments + old snaps.
         if self._fh is not None:
             self._fh.close()
@@ -481,6 +494,7 @@ class Journal:
             if isinstance(doc, dict):
                 snap_doc, snap_lsn = doc, lsn
                 break
+        self._snap_lsn = snap_lsn
         tail: list[JournalRecord] = []
         expect = snap_lsn + 1
         for _, seg_path in self._segments():

@@ -10,9 +10,10 @@ asyncio event loop and provides the guarantees the protocol promises:
   recovery relies on.  Different sessions proceed concurrently.
 * **LRU eviction + lazy rehydration.**  At most ``max_live`` sessions
   keep a scheduler in memory.  The least-recently-used one is
-  checkpointed (snapshot with ledger + journal truncation) and dropped;
-  the next operation on it recovers from disk transparently.  Eviction
-  rides the victim's own queue, so it serializes with in-flight ops.
+  checkpointed (snapshot with ledger + journal truncation) if it logged
+  an op since its last snapshot, and dropped; the next operation on it
+  recovers from disk transparently.  Eviction rides the victim's own
+  queue, so it serializes with in-flight ops.
 * **Write-ahead ordering.**  Mutations are validated, journaled (per
   the fsync policy), then applied; an acknowledged op is exactly as
   durable as the policy promises.
@@ -1391,7 +1392,14 @@ class SessionManager:
             return {"evicted": True, "degraded": True}
         journal = self._journal(sess)
         try:
-            lsn = journal.checkpoint(self._snapshot_doc(sess, sched))
+            # A clean session's snapshot (with its empty tail) already
+            # equals its scheduler, ledger totals and dedup window -- only
+            # a logged op can change them -- so rewriting it buys nothing.
+            lsn = (
+                journal.checkpoint(self._snapshot_doc(sess, sched))
+                if journal.dirty
+                else journal.last_lsn
+            )
             journal.close()
         except OSError as e:
             raise self._degrade(sess, e) from e

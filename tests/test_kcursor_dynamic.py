@@ -85,3 +85,19 @@ def test_costs_comparable_between_modes():
     # Same asymptotics: within a small constant factor of each other.
     hi, lo = max(results.values()), min(results.values())
     assert hi <= 5 * lo + 5
+
+
+def test_grown_root_is_buffered_when_large():
+    # the fresh root inherits the old root's space; once N >= 2/tau^2 the
+    # rest-state discipline needs it BUFFERED right away, not at the
+    # next grow
+    t = KCursorSparseTable(1, params=Params.explicit(1, 2), tau_mode="local")
+    t.extend(0, 26)
+    check_invariants(t)
+    t.append_district()
+    root = t.root
+    assert root.N >= 2 * root.it * root.it and root.buffered
+    check_invariants(t)
+    t.extend(1, 3)
+    t.shrink(0, 5)
+    check_invariants(t)

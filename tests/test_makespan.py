@@ -1,6 +1,10 @@
 """Makespan extension: balance invariant, ratio, migration discipline."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -104,3 +108,21 @@ def test_stack_compaction_on_delete():
     placements = {pj.name: pj.start for pj in m.jobs()}
     assert placements == {"a": 0, "c": 5}
     assert m.makespan() == 10
+
+
+def test_a4_table_independent_of_hash_seed():
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(repo, "src")
+    code = (
+        "import json; from repro.sim.experiments import EXPERIMENTS; "
+        "print(json.dumps(EXPERIMENTS['A4'](quick=True)['rows']))"
+    )
+    tables = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        tables.append(json.loads(out))
+    assert tables[0] == tables[1]

@@ -148,6 +148,42 @@ def test_admit_fault_sheds_with_advisory_delay(tmp_path):
     run(main())
 
 
+def test_checkpoint_fault_spares_clean_eviction_only(tmp_path):
+    async def main():
+        reg = MetricsRegistry()
+        m = SessionManager(
+            str(tmp_path), fsync="never", max_live=1, registry=reg,
+            recover_backoff=5.0, recover_backoff_max=5.0,
+        )
+        await m.dispatch(req("open", session="a"))
+        await m.dispatch(req("insert", session="a", name="x", size=3))
+        await m.dispatch(req("open", session="b"))  # dirty a: checkpointed
+        await m.sessions["a"].queue.join()
+        await m.dispatch(req("query", session="a"))  # a rehydrates, clean
+        plan = faults.parse_plan("journal.checkpoint.io=error:EIO")
+        faults.activate(plan)
+        # a clean eviction never reaches the checkpoint failpoint
+        await m.dispatch(req("query", session="b"))
+        await m.sessions["a"].queue.join()
+        assert not m.sessions["a"].live
+        assert m.sessions["a"].degraded is None
+        assert plan.stats()["hits"] == {}
+        # a dirty one does, and degrades exactly as before
+        await m.dispatch(req("insert", session="a", name="y", size=2))
+        await m.dispatch(req("query", session="b"))
+        await m.sessions["a"].queue.join()
+        assert m.sessions["a"].degraded is not None
+        assert m.sessions["a"].live
+        assert plan.stats()["fired"] == {"journal.checkpoint.io": 1}
+        assert reg.value("service.degraded.entered") == 1
+        q = await m.dispatch(req("query", session="a", jobs=True))
+        assert sorted(row[0] for row in q["jobs"]) == ["x", "y"]
+        faults.deactivate()
+        await m.shutdown()
+
+    run(main())
+
+
 # ----------------------------------------------------------------------
 # Dedup window
 

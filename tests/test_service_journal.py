@@ -1,7 +1,9 @@
 """Write-ahead journal: LSNs, segments, checkpoints, crash recovery."""
 
+import io
 import json
 import os
+import zlib
 
 import pytest
 
@@ -296,3 +298,134 @@ def test_snapshot_is_canonical_json(tmp_path):
     text = open(path, encoding="utf-8").read()
     assert json.loads(text) == {"b": 1, "a": {"z": 0, "y": 1}}
     assert text.index('"a"') < text.index('"b"')  # sort_keys on disk
+
+
+def _two_pass_encoding(rec):
+    """The original record encoder: encode, CRC, re-encode with ``c``."""
+    body = {"lsn": rec.lsn, "op": rec.op, "name": rec.name, "size": rec.size}
+    if rec.idem is not None:
+        body["i"] = rec.idem
+    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    body["c"] = zlib.crc32(payload.encode("utf-8"))
+    return (json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n").encode(
+        "utf-8"
+    )
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [
+        JournalRecord(lsn=1, op="insert", name="a", size=3),
+        JournalRecord(lsn=42, op="delete", name="job-17", size=1024),
+        JournalRecord(lsn=7, op="insert", name="a", size=3, idem="cdeadbeef-1"),
+        JournalRecord(lsn=2**40, op="delete", name='q"u\\o', size=1, idem="k"),
+        JournalRecord(lsn=9, op="insert", name="naïve ☃", size=5, idem="é-1"),
+    ],
+)
+def test_record_encoding_matches_two_pass_bytes(rec):
+    # replicas store shipped lines verbatim: the one-pass encoder must
+    # produce exactly the bytes the two-pass one did
+    from repro.service.journal import _decode_record, _encode_record
+
+    line = _encode_record(rec)
+    assert line == _two_pass_encoding(rec)
+    assert _decode_record(line.decode("utf-8")) == rec
+
+
+def test_checkpoint_bytes_are_one_shot_sorted_json(tmp_path):
+    from repro.core.snapshot import snapshot_single
+    from repro.core.single import SingleServerScheduler
+
+    sched = SingleServerScheduler(1024, delta=0.5)
+    for i in range(60):
+        sched.insert(f"j{i}", (i * 37) % 1024 + 1)
+    doc = snapshot_single(sched, include_ledger=True)
+    doc["service_dedup"] = [["k1", {"lsn": 1, "size": 3}]]
+    root = str(tmp_path)
+    with Journal(root, fsync="never") as j:
+        append_n(j, 1)
+        j.checkpoint(doc)
+    data = open(os.path.join(root, snap_files(root)[0]), "rb").read()
+    assert data == json.dumps(doc, sort_keys=True).encode("utf-8")
+    streamed = io.StringIO()
+    json.dump(doc, streamed, sort_keys=True)  # the pre-one-shot writer
+    assert data == streamed.getvalue().encode("utf-8")
+
+
+# ----------------------------------------------------------------------
+# Dirty tracking: has anything been logged past the newest snapshot?
+
+
+def test_dirty_tracks_appends_and_checkpoints(tmp_path):
+    root = str(tmp_path)
+    with Journal(root, fsync="never") as j:
+        assert not j.dirty  # empty journal, no snapshot
+        append_n(j, 2)
+        assert j.dirty
+        j.checkpoint({"m": 1})
+        assert not j.dirty
+        j.append("insert", "x", 1)
+        assert j.dirty
+    with Journal(root, fsync="never") as j:
+        assert j.dirty  # the tail (LSN 3) survives the reopen
+        j.checkpoint({"m": 2})
+    with Journal(root, fsync="never") as j:
+        assert not j.dirty  # newest snapshot on disk covers everything
+
+
+def test_dirty_after_recover(tmp_path):
+    root = str(tmp_path)
+    with Journal(root, fsync="never") as j:
+        append_n(j, 2)
+        j.checkpoint({"m": 1})
+    with Journal(root, fsync="never") as j:
+        snap, tail = j.recover()
+        assert snap == {"m": 1} and tail == []
+        assert not j.dirty
+        j.append("insert", "x", 1)
+    with Journal(root, fsync="never") as j:
+        snap, tail = j.recover()
+        assert [r.lsn for r in tail] == [3]
+        assert j.dirty
+    with Journal(str(tmp_path / "fresh"), fsync="never") as j:
+        append_n(j, 2)
+    with Journal(str(tmp_path / "fresh"), fsync="never") as j:
+        snap, tail = j.recover()
+        assert snap is None and len(tail) == 2
+        assert j.dirty
+
+
+def test_dirty_after_fallback_to_older_snapshot(tmp_path):
+    root = str(tmp_path)
+    with Journal(root, fsync="never") as j:
+        append_n(j, 3)
+        j.checkpoint({"marker": "old"})
+        append_n(j, 2, start=3)
+    with open(os.path.join(root, "snap-0000000000000005.json"), "w",
+              encoding="utf-8") as fh:
+        fh.write("{not json")
+    with Journal(root, fsync="never") as j:
+        # at open, the newest snapshot on disk covers LSN 5 ...
+        assert j.last_lsn == 5 and not j.dirty
+        snap, tail = j.recover()
+        assert snap == {"marker": "old"}
+        # ... but the one actually loaded covers only LSN 3, so the state
+        # in memory is not on disk in any readable snapshot
+        assert j.dirty
+        j.checkpoint({"marker": "healed"})
+        assert not j.dirty
+
+
+def test_failed_checkpoint_leaves_journal_dirty(tmp_path):
+    from repro import faults
+
+    with Journal(str(tmp_path), fsync="never") as j:
+        append_n(j, 2)
+        faults.activate(faults.parse_plan("journal.checkpoint.io=error:EIO@times1"))
+        try:
+            with pytest.raises(OSError):
+                j.checkpoint({"m": 1})
+        finally:
+            faults.deactivate()
+        assert j.dirty
+        assert snap_files(str(tmp_path)) == []

@@ -350,3 +350,91 @@ def test_replay_journal_dir_skips_tombstoned_sessions(tmp_path):
     assert direct == [
         {"session": "gone", "skipped_moved": True, "moved_to": "shard-B"}
     ]
+
+
+# ----------------------------------------------------------------------
+# Eviction writes a snapshot only for a session that changed
+
+
+def _snap_and_segs(sdir):
+    names = sorted(os.listdir(sdir))
+    return ([n for n in names if n.startswith("snap-")],
+            [n for n in names if n.startswith("wal-")])
+
+
+def test_clean_eviction_writes_no_snapshot(tmp_path):
+    async def main():
+        reg = MetricsRegistry()
+        m = SessionManager(str(tmp_path), fsync="never", max_live=1, registry=reg)
+        await m.dispatch(req("open", session="a"))
+        for i in range(6):
+            await m.dispatch(req("insert", session="a", name=f"j{i}",
+                                 size=i % 5 + 1, idem=f"k{i}"))
+        await m.dispatch(req("delete", session="a", name="j2", idem="kd"))
+        # b's arrival evicts the dirty a: checkpoint + segment truncation
+        await m.dispatch(req("open", session="b"))
+        await m.sessions["a"].queue.join()
+        assert not m.sessions["a"].live
+        sdir = str(tmp_path / "a")
+        snaps, segs = _snap_and_segs(sdir)
+        assert snaps == ["snap-0000000000000007.json"] and segs == []
+        assert reg.value("service.journal.checkpoints") == 1
+        st = os.stat(os.path.join(sdir, snaps[0]))
+
+        # a read-only touch rehydrates a (evicting b, which never logged)
+        want = await m.dispatch(req("query", session="a", jobs=True))
+        sess = m.sessions["a"]
+        assert not sess.journal.dirty
+        ledger = m.stats("a")["ledger"]
+        dedup = sess.dedup.entries()
+        assert len(dedup) == 7
+        # ... and touching b again evicts the clean a
+        await m.dispatch(req("query", session="b"))
+        await m.sessions["a"].queue.join()
+        assert not m.sessions["a"].live
+        assert reg.value("service.evictions") == 3
+        assert reg.value("service.journal.checkpoints") == 1
+        assert _snap_and_segs(sdir) == (snaps, [])
+        st2 = os.stat(os.path.join(sdir, snaps[0]))
+        assert (st2.st_ino, st2.st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
+        assert _snap_and_segs(str(tmp_path / "b")) == ([], [])
+
+        # the rehydrated state equals the pre-eviction one
+        got = await m.dispatch(req("query", session="a", jobs=True))
+        assert got == want
+        assert m.stats("a")["ledger"] == ledger
+        assert m.sessions["a"].dedup.entries() == dedup
+        retry = await m.dispatch(req("insert", session="a", name="j3",
+                                     size=4, idem="k3"))
+        assert retry == dedup[3][1]
+        await m.shutdown()
+
+    run(main())
+
+
+def test_dirty_eviction_after_rehydrate_checkpoints(tmp_path):
+    async def main():
+        reg = MetricsRegistry()
+        m = SessionManager(str(tmp_path), fsync="never", max_live=1, registry=reg)
+        await m.dispatch(req("open", session="a"))
+        await insert_many(m, "a", 3)
+        await m.dispatch(req("open", session="b"))
+        await m.sessions["a"].queue.join()
+        # rehydrate a and log one more op: its eviction must checkpoint
+        await insert_many(m, "a", 2, start=3)
+        assert m.sessions["a"].journal.dirty
+        assert _snap_and_segs(str(tmp_path / "a"))[1] != []
+        want = await m.dispatch(req("query", session="a", jobs=True))
+        await m.dispatch(req("query", session="b"))
+        await m.sessions["a"].queue.join()
+        assert not m.sessions["a"].live
+        assert reg.value("service.journal.checkpoints") == 2
+        assert _snap_and_segs(str(tmp_path / "a")) == (
+            ["snap-0000000000000003.json", "snap-0000000000000005.json"], []
+        )
+        got = await m.dispatch(req("query", session="a", jobs=True))
+        assert got == want
+        assert m.sessions["a"].last_recovery["replayed"] == 0
+        await m.shutdown()
+
+    run(main())
